@@ -3,7 +3,7 @@
 The paper's steady-state numbers assume one update at a time; real BGP
 feeds arrive in bursts where the same prefix flaps repeatedly. These
 benches measure what the coalescing batch path buys on such a workload
-and what the trie-fed ORTC fast path buys a snapshot, and record the
+and what the snapshot's trie-fed ORTC mirror buys, and record the
 numbers in ``BENCH_batch.json`` at the repo root — the baseline the
 ROADMAP's perf trajectory is tracked against. Run with::
 
@@ -26,7 +26,8 @@ import pytest
 
 from repro.core.equivalence import semantically_equivalent
 from repro.core.manager import SmaltaManager
-from repro.core.shards import ShardedBackend, snapshot_shard
+from repro.core.ortc import ortc, ortc_from_trie
+from repro.core.shards import ShardedBackend
 from repro.core.smalta import SmaltaState
 from repro.net.nexthop import NexthopRegistry
 from repro.net.update import iter_bursts
@@ -150,66 +151,48 @@ def test_bench_batch_vs_sequential(bench_table, burst_trace):
 
 
 def test_bench_snapshot_fast_path(bench_table):
-    """snapshot(fast=True) (trie-fed ORTC + interned sets) vs baseline."""
+    """The snapshot's trie mirror vs entry-stream ORTC over ``ot_entries()``."""
     table, _ = bench_table
     state = SmaltaState(32)
     for prefix, nexthop in table.items():
         state.load(prefix, nexthop)
     state.snapshot()
+    trie = state.trie
 
-    timings = {True: float("inf"), False: float("inf")}
-    # Interleave modes so neither benefits from cache warm-up ordering.
+    mirror_s = float("inf")
+    entry_stream_s = float("inf")
+    # Interleave the two so neither benefits from cache warm-up ordering.
     for _ in range(REPEATS):
-        for fast in (False, True):
-            started = time.perf_counter()
-            state.snapshot(fast=fast)
-            timings[fast] = min(timings[fast], time.perf_counter() - started)
+        started = time.perf_counter()
+        baseline = ortc(trie.ot_entries(), trie.width)
+        entry_stream_s = min(entry_stream_s, time.perf_counter() - started)
+        started = time.perf_counter()
+        mirrored = ortc_from_trie(trie)
+        mirror_s = min(mirror_s, time.perf_counter() - started)
+    # Same table; the order differs once the trie holds AT-only nodes.
+    assert mirrored == baseline
 
-    speedup = timings[False] / timings[True]
+    speedup = entry_stream_s / mirror_s
     _record(
         "snapshot_fast_path",
         {
-            "workload": f"snapshot(OT) over a {len(table)}-prefix table",
-            "baseline_s": round(timings[False], 6),
-            "fast_s": round(timings[True], 6),
+            "workload": f"ORTC over a {len(table)}-prefix table's union trie",
+            "entry_stream_s": round(entry_stream_s, 6),
+            "mirror_s": round(mirror_s, 6),
             "speedup": round(speedup, 2),
         },
     )
-    # The fast path must never be a regression (the batch speedup above
-    # is the headline; this one is a steady incremental win).
-    assert speedup >= 0.95, f"fast snapshot slower than baseline: {speedup:.2f}x"
+    # The mirror must never be a regression against the oracle's
+    # entry-stream build.
+    assert speedup >= 0.95, f"trie mirror slower than entry stream: {speedup:.2f}x"
 
 
-def _lpt_makespan(task_times: list[float], workers: int) -> float:
-    """Longest-processing-time list scheduling: the classic makespan
-    bound a work-stealing pool tracks closely for many small tasks."""
-    bins = [0.0] * workers
-    for duration in sorted(task_times, reverse=True):
-        bins[bins.index(min(bins))] += duration
-    return max(bins)
+def test_bench_sharded_snapshot():
+    """Snapshot on the sharded backend vs the single trie, DFZ profile.
 
-
-def test_bench_snapshot_sharded():
-    """Sharded snapshot vs the single-trie fast path on a DFZ-profile table.
-
-    Three honest measurements on this host, whatever its core count:
-
-    - ``overhead_1worker`` — the sharded backend with no pool runs the
-      same mirror pass over its spliced graph, so the abstraction must
-      be (near-)free: floor 0.90x.
-    - the stitched protocol's serial cost, decomposed into coordinator
-      work (encode + top tree + stitch) and the per-shard ORTC tasks,
-      each timed individually.
-    - a real 2-worker process-pool snapshot, recorded as-is (it includes
-      fork/dispatch cost and cannot beat serial on a single-core host).
-
-    The k-worker speedups are then **modeled** from the measured pieces:
-    makespan(k) = coordinator_s + LPT(task_times, k), i.e. real task
-    timings under longest-processing-time scheduling — the standard
-    makespan model for a work-stealing pool. The 4-worker figure is the
-    acceptance headline (floor 1.5x); ``host_cores`` and ``methodology``
-    are recorded alongside so nobody mistakes the model for a wall-clock
-    measurement on this container.
+    Both run the same mirror pass (the sharded backend over its spliced
+    graph), so the sharding abstraction must be (near-)free at snapshot
+    time: floor 0.90x.
     """
     prefix_count = scaled(200_000, minimum=2_000)
     rng = random.Random(BENCH_SEED + 3)
@@ -223,114 +206,48 @@ def test_bench_snapshot_sharded():
     profile = TableProfile(allocated_fraction=0.85, allocated_runs=40)
     table = generate_table(prefix_count, nexthops, rng, profile=profile)
 
-    def loaded(backend: ShardedBackend | None) -> SmaltaState:
-        state = SmaltaState(32) if backend is None else SmaltaState(
-            32, backend=backend
-        )
+    def loaded(state: SmaltaState) -> SmaltaState:
         for prefix, nexthop in table.items():
             state.load(prefix, nexthop)
         return state
 
-    single = loaded(None)
-    sharded_plain = loaded(ShardedBackend(32))
-    sharded_stitch = loaded(ShardedBackend(32, force_stitch=True))
+    single = loaded(SmaltaState(32))
+    sharded = loaded(SmaltaState(32, backend=ShardedBackend(32)))
 
-    single_fast_s = float("inf")
-    sharded_1worker_s = float("inf")
-    stitched_inline_s = float("inf")
-    # Interleave modes so none benefits from cache warm-up ordering, and
-    # take extra repeats: the acceptance floors below are ratios of two
-    # ~0.3s measurements, and min-of-N is the only defense against
-    # scheduler preemption noise on a small shared host.
+    single_s = float("inf")
+    sharded_s = float("inf")
+    # Interleave the two, and take extra repeats: the floor below is a
+    # ratio of two short measurements, and min-of-N is the only defense
+    # against scheduler preemption noise on a small shared host.
     for _ in range(max(REPEATS, 5)):
         started = time.perf_counter()
         reference_table = single.trie.ortc_table()
-        single_fast_s = min(single_fast_s, time.perf_counter() - started)
+        single_s = min(single_s, time.perf_counter() - started)
 
         started = time.perf_counter()
-        plain_table = sharded_plain.trie.ortc_table()
-        sharded_1worker_s = min(sharded_1worker_s, time.perf_counter() - started)
+        sharded_table = sharded.trie.ortc_table()
+        sharded_s = min(sharded_s, time.perf_counter() - started)
 
-        started = time.perf_counter()
-        stitched_table = sharded_stitch.trie.ortc_table()
-        stitched_inline_s = min(stitched_inline_s, time.perf_counter() - started)
+    # Byte-identity before any speed claim: the reference table in the
+    # reference order.
+    assert list(sharded_table.items()) == list(reference_table.items())
 
-    # Byte-identity before any speed claims: both sharded paths emit the
-    # reference table in the reference order.
-    assert list(plain_table.items()) == list(reference_table.items())
-    assert list(stitched_table.items()) == list(reference_table.items())
-
-    # Per-shard task timings (serial, min of repeats per task).
-    backend = sharded_stitch.trie
-    assert isinstance(backend, ShardedBackend)
-    payloads = backend.shard_payloads()
-    task_times = [float("inf")] * len(payloads)
-    for _ in range(2):
-        for index, payload in enumerate(payloads):
-            started = time.perf_counter()
-            snapshot_shard(*payload)
-            task_times[index] = min(
-                task_times[index], time.perf_counter() - started
-            )
-    task_total_s = sum(task_times)
-    coordinator_s = max(0.0, stitched_inline_s - task_total_s)
-
-    # One real pool run, recorded verbatim (includes worker startup).
-    pool_backend = ShardedBackend(32, snapshot_workers=2)
-    pooled = loaded(pool_backend)
-    started = time.perf_counter()
-    pooled_table = pooled.trie.ortc_table()
-    pool_2workers_s = time.perf_counter() - started
-    pool_backend.close()
-    assert list(pooled_table.items()) == list(reference_table.items())
-
-    def modeled_speedup(workers: int) -> float:
-        return single_fast_s / (coordinator_s + _lpt_makespan(task_times, workers))
-
-    overhead_1worker = single_fast_s / sharded_1worker_s
-    speedup_2 = modeled_speedup(2)
-    speedup_4 = modeled_speedup(4)
-    host_cores = os.cpu_count() or 1
+    ratio = single_s / sharded_s
     _record(
-        "snapshot_sharded",
+        "sharded_snapshot",
         {
             "workload": (
                 f"snapshot(OT) over a {len(table)}-prefix DFZ-profile table "
-                "(200k x REPRO_SCALE), /8-sharded backend"
+                "(200k x REPRO_SCALE), single vs /8-sharded backend"
             ),
-            "host_cores": host_cores,
-            "single_fast_s": round(single_fast_s, 6),
-            "sharded_1worker_s": round(sharded_1worker_s, 6),
-            "overhead_1worker": round(overhead_1worker, 3),
-            "stitched_inline_s": round(stitched_inline_s, 6),
-            "stitch_serial_speedup": round(single_fast_s / stitched_inline_s, 2),
-            "coordinator_s": round(coordinator_s, 6),
-            "shard_tasks": len(payloads),
-            "task_total_s": round(task_total_s, 6),
-            "task_max_s": round(max(task_times), 6),
-            "pool_2workers_real_s": round(pool_2workers_s, 6),
-            "speedup_2workers": round(speedup_2, 2),
-            "speedup_4workers": round(speedup_4, 2),
-            "methodology": (
-                "k-worker speedups are modeled makespans: measured "
-                "coordinator time + LPT schedule of individually measured "
-                "per-shard task times; the real 2-worker pool run (fork + "
-                "dispatch included) is recorded verbatim. They compound "
-                "stitch_serial_speedup (the per-shard encode/decode "
-                "protocol beats whole-trie mirroring even serially) with "
-                f"parallel scheduling. Host has {host_cores} core(s), so "
-                "modeled figures are the scalability claim, not a "
-                "wall-clock one."
-            ),
+            "host_cores": os.cpu_count() or 1,
+            "single_s": round(single_s, 6),
+            "sharded_s": round(sharded_s, 6),
+            "single_over_sharded": round(ratio, 3),
         },
     )
-    assert overhead_1worker >= 0.90, (
-        f"sharded backend costs >10% on 1-worker snapshots: "
-        f"{overhead_1worker:.3f}x"
-    )
-    assert speedup_4 >= 1.5, (
-        f"modeled 4-worker snapshot speedup {speedup_4:.2f}x below the "
-        "1.5x floor"
+    assert ratio >= 0.90, (
+        f"sharded backend costs >10% on snapshots: {ratio:.3f}x"
     )
 
 
@@ -421,8 +338,6 @@ def test_bench_lookup_packed():
             "reference_nodes": reference.node_count(),
         },
     )
-    packed.close()
-    sharded.close()
     assert speedup_vs_reference >= 2.0, (
         f"packed lookup speedup {speedup_vs_reference:.2f}x below the "
         "2x floor"

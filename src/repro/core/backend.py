@@ -2,13 +2,12 @@
 
 :class:`~repro.core.smalta.SmaltaState` never touches trie internals
 directly — every read and mutation goes through the surface captured by
-:class:`TrieBackend` below. Two implementations satisfy it today:
+:class:`TrieBackend` below. Three implementations satisfy it today:
 
 - :class:`~repro.core.trie.FibTrie` — the reference single trie, one
   pointer-chasing structure over the whole prefix space;
 - :class:`~repro.core.shards.ShardedBackend` — fixed /8 subtries spliced
-  under a tiny root table, with the ORTC snapshot fanned out per shard
-  (optionally onto a process pool);
+  under a tiny root table, with mutations routed to the owning shard;
 - :class:`~repro.core.packed.PackedBackend` — the reference trie as a
   shadow plus level-compressed, array-packed OT/AT lookup planes (flat
   stride tables, no per-node objects on the LPM hot path).
@@ -105,7 +104,7 @@ class TrieBackend(Protocol):
 
     def at_table(self) -> dict[Prefix, Nexthop]: ...
 
-    def ortc_table(self, fast: bool = True) -> dict[Prefix, Nexthop]: ...
+    def ortc_table(self) -> dict[Prefix, Nexthop]: ...
 
     @property
     def ot_size(self) -> int: ...
@@ -129,26 +128,10 @@ def _make_single(
     return FibTrie(width)
 
 
-def _make_sharded(
-    width: int, obs: Optional[Observability] = None, **options: object
-) -> FibTrie:
-    if "snapshot_workers" not in options:
-        workers_env = os.environ.get("SMALTA_SNAPSHOT_WORKERS")
-        if workers_env is not None:
-            options["snapshot_workers"] = int(workers_env)
-    return ShardedBackend(width, obs=obs, **options)  # type: ignore[arg-type]
-
-
-def _make_packed(
-    width: int, obs: Optional[Observability] = None, **options: object
-) -> FibTrie:
-    return PackedBackend(width, obs=obs, **options)  # type: ignore[arg-type]
-
-
 _FACTORIES: dict[str, Callable[..., FibTrie]] = {
     SINGLE_BACKEND: _make_single,
-    SHARDED_BACKEND: _make_sharded,
-    PACKED_BACKEND: _make_packed,
+    SHARDED_BACKEND: ShardedBackend,
+    PACKED_BACKEND: PackedBackend,
 }
 
 BACKEND_NAMES = tuple(sorted(_FACTORIES))
@@ -173,8 +156,7 @@ def make_backend(
     """Construct a trie backend by name (None → ``$SMALTA_BACKEND``).
 
     ``options`` are backend-specific knobs — the sharded backend accepts
-    ``boundary``, ``snapshot_workers`` and ``force_stitch``; the packed
-    backend accepts ``strides``.
+    ``boundary``; the packed backend accepts ``strides``.
     """
     return _FACTORIES[resolve_backend_name(name)](width, obs=obs, **options)
 

@@ -451,5 +451,5 @@ class SmaltaManager:
         }
 
     def close(self) -> None:
-        """Release backend resources (e.g. the sharded snapshot pool)."""
+        """Release backend resources (no built-in backend holds any)."""
         self.state.trie.close()

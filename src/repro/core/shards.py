@@ -12,42 +12,25 @@ table as real child nodes: whenever a shard is non-empty, its root's
 are kept wired, so the composite node graph is node-for-node isomorphic
 to the single reference trie. Every inherited whole-graph traversal —
 LPM lookups, ψ walks, entry iteration, node counting, preimage rebuild,
-the invariants auditor, even the mirror-based ORTC fast path — therefore
-behaves *identically* by construction. Only point operations are
+the invariants auditor, the ORTC snapshot mirror — therefore behaves
+*identically* by construction. Only point operations are
 overridden, and they simply route to the owning shard by the top
 ``boundary`` bits of the prefix.
 
-Snapshots additionally get a parallel path: each OT-bearing shard subtree
-is structurally encoded (picklable, no node graph crosses the process
-boundary), shipped to :func:`snapshot_shard` — on a
-``concurrent.futures`` process pool when ``snapshot_workers > 1`` — and
-the coordinator stitches the per-shard ORTC results under its own pass
-over the root table, replicating the exact emission order of a
-single-trie run so download logs stay byte-identical.
+Snapshots are therefore not sharded at all: ORTC mirrors the spliced
+graph in one walk (:func:`~repro.core.ortc.ortc_from_trie`), exactly as
+it does the reference trie.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
 
-from repro.core.ortc import _bottom_up, _ONode, _top_down, ortc, ortc_from_trie
+from repro.core.ortc import ortc_from_trie
 from repro.core.trie import FibTrie, Node
-from repro.net.nexthop import DROP, Nexthop
+from repro.net.nexthop import Nexthop
 from repro.net.prefix import Prefix
 from repro.obs.observability import Observability
-from repro.verify.markers import shard_entry
-
-#: Preorder structural encoding of one shard subtree: for each node, its
-#: OT label (None for bookkeeping nodes) and which children exist.
-ShardEncoding = list[tuple[Optional[Nexthop], bool, bool]]
-
-#: What a shard worker returns: the shard root's ORTC candidate set, and
-#: for each candidate the exact output slice emitted below the shard root
-#: when the coordinator propagates that candidate into the shard.
-ShardResult = tuple[
-    tuple[Nexthop, ...], dict[Nexthop, list[tuple[Prefix, Nexthop]]]
-]
 
 
 def default_boundary(width: int) -> int:
@@ -74,75 +57,6 @@ def shard_index(prefix: Prefix, boundary: int) -> Optional[int]:
     return prefix.value >> (prefix.width - boundary)
 
 
-def _encode_subtree(root: Node) -> ShardEncoding:
-    """Flatten a shard subtree preorder (node, left subtree, right subtree)."""
-    out: ShardEncoding = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append((node.d_o, node.left is not None, node.right is not None))
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-    return out
-
-
-def _decode_subtree(encoded: ShardEncoding) -> _ONode:
-    """Rebuild the preorder encoding as an ORTC scratch tree."""
-    root = _ONode()
-    # Parent slots awaiting a child, popped in preorder (left before right).
-    slots: list[tuple[_ONode, int]] = []
-    first = True
-    for label, has_left, has_right in encoded:
-        if first:
-            node = root
-            first = False
-        else:
-            parent, bit = slots.pop()
-            node = _ONode()
-            if bit:
-                parent.right = node
-            else:
-                parent.left = node
-        node.label = label
-        if has_right:
-            slots.append((node, 1))
-        if has_left:
-            slots.append((node, 0))
-    return root
-
-
-@shard_entry
-def snapshot_shard(
-    encoded: ShardEncoding,
-    width: int,
-    base_value: int,
-    base_length: int,
-    inherited: Nexthop,
-) -> ShardResult:
-    """ORTC passes 2+3 over one detached shard subtree (pool worker).
-
-    ``inherited`` is the effective nexthop the root table propagates into
-    this shard's address space. The coordinator cannot know, before its
-    own bottom-up pass completes, which nexthop it will push *down* into
-    the shard — so the worker precomputes the top-down output slice for
-    **every** candidate in the shard root's set and lets the coordinator
-    pick at stitch time. Candidate sets are tiny (bounded by the distinct
-    nexthops under the shard), so this costs little and keeps the worker
-    a pure function of its arguments.
-    """
-    root = _decode_subtree(encoded)
-    _bottom_up(root, inherited)
-    variants: dict[Nexthop, list[tuple[Prefix, Nexthop]]] = {}
-    for choice in sorted(root.nhset):
-        emitted = _top_down(
-            root, width, assigned=choice, value=base_value, length=base_length
-        )
-        variants[choice] = list(emitted.items())
-    return tuple(sorted(root.nhset)), variants
-
-
 class ShardedBackend(FibTrie):
     """A :class:`FibTrie` partitioned into per-/8 subtries.
 
@@ -150,22 +64,12 @@ class ShardedBackend(FibTrie):
     than ``boundary``); ``self._shards[i]`` holds everything under the
     i-th /boundary prefix. See the module docstring for the splicing
     invariant that makes inherited traversals exact.
-
-    ``snapshot_workers`` sizes the process pool used by
-    :meth:`ortc_table`; at 1 (the default) snapshots run the inherited
-    single-pass mirror over the spliced graph, which is byte-identical
-    to the reference backend with zero protocol overhead.
-    ``force_stitch`` routes snapshots through the per-shard stitching
-    protocol even without a pool — the differential tests use it to
-    exercise the stitch deterministically in-process.
     """
 
     def __init__(
         self,
         width: int = 32,
         boundary: Optional[int] = None,
-        snapshot_workers: int = 1,
-        force_stitch: bool = False,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(width)
@@ -173,26 +77,20 @@ class ShardedBackend(FibTrie):
             boundary = default_boundary(width)
         if not 1 <= boundary <= width:
             raise ValueError(f"shard boundary {boundary} outside [1, {width}]")
-        if snapshot_workers < 1:
-            raise ValueError(f"snapshot_workers must be >= 1, got {snapshot_workers}")
         self.boundary = boundary
-        self.snapshot_workers = snapshot_workers
-        self.force_stitch = force_stitch
         self._shard_shift = width - boundary
         self._shards: list[FibTrie] = [
             FibTrie(width, base=Prefix(index << self._shard_shift, boundary, width))
             for index in range(1 << boundary)
         ]
         self._attached = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._obs = obs if obs is not None else Observability.null()
-        registry = self._obs.registry
+        #: OT/AT entries held by the shards, kept incrementally because
+        #: the size gauges read them on every download drain.
+        self._shard_ot = 0
+        self._shard_at = 0
+        registry = (obs if obs is not None else Observability.null()).registry
         self._c_shard_ops = registry.counter(
             "smalta_shard_ops_total", "Mutations routed to a shard subtrie"
-        )
-        self._c_shard_tasks = registry.counter(
-            "smalta_shard_snapshot_tasks_total",
-            "Per-shard ORTC tasks dispatched by stitched snapshots",
         )
         self._g_shards_attached = registry.gauge(
             "smalta_shards_attached", "Non-empty shard subtries spliced in"
@@ -218,7 +116,9 @@ class ShardedBackend(FibTrie):
             return super().set_ot(prefix, nexthop)
         shard = self._shards[index]
         self._c_shard_ops.inc()
+        before = shard.ot_size
         old = shard.set_ot(prefix, nexthop)
+        self._shard_ot += shard.ot_size - before
         self._sync_shard(shard)
         return old
 
@@ -233,7 +133,9 @@ class ShardedBackend(FibTrie):
         # construction (and swapped around batched drains); mirroring it
         # at mutation time keeps every shard a plain unsuspecting FibTrie.
         shard.at_observer = self.at_observer
+        before = shard.at_size
         shard.set_at_node(node, nexthop)
+        self._shard_at += shard.at_size - before
         self._sync_shard(shard)
 
     # set_at / get_ot / get_at dispatch through find/ensure/set_at_node
@@ -292,172 +194,15 @@ class ShardedBackend(FibTrie):
 
     @property
     def ot_size(self) -> int:
-        return self._ot_count + sum(shard.ot_size for shard in self._shards)
+        return self._ot_count + self._shard_ot
 
     @property
     def at_size(self) -> int:
-        return self._at_count + sum(shard.at_size for shard in self._shards)
+        return self._at_count + self._shard_at
 
     # -- snapshot -------------------------------------------------------
 
-    def ortc_table(self, fast: bool = True) -> dict[Prefix, Nexthop]:
-        """ORTC over the union of the root table and all shards.
-
-        ``fast=False`` keeps the entry-stream baseline for differential
-        checks. The fast path mirrors the spliced graph directly (zero
-        overhead versus the reference backend) unless a pool is
-        configured or ``force_stitch`` is set, in which case it fans one
-        ORTC task out per OT-bearing shard and stitches the results.
-        """
-        if not fast:
-            return ortc(self.ot_entries(), self.width)
-        if self.snapshot_workers <= 1 and not self.force_stitch:
-            return ortc_from_trie(self)
-        return self._stitched_snapshot()
-
-    def shard_payloads(self) -> list[tuple[ShardEncoding, int, int, int, Nexthop]]:
-        """The per-shard worker argument tuples a stitched snapshot ships.
-
-        Public for the benchmark harness, which times
-        :func:`snapshot_shard` on each payload to measure task balance.
-        """
-        _top_root, leaves = self._build_top_tree()
-        loaded = [triple for triple in leaves if triple[1].ot_size > 0]
-        return self._encode_payloads(loaded)
-
-    @staticmethod
-    def _encode_payloads(
-        loaded: list[tuple[_ONode, FibTrie, Nexthop]],
-    ) -> list[tuple[ShardEncoding, int, int, int, Nexthop]]:
-        return [
-            (
-                _encode_subtree(shard.root),
-                shard.width,
-                shard.root.prefix.value,
-                shard.root.prefix.length,
-                inherited,
-            )
-            for _leaf, shard, inherited in loaded
-        ]
-
-    def _build_top_tree(self) -> tuple[_ONode, list[tuple[_ONode, FibTrie, Nexthop]]]:
-        """Mirror the root-table region into an ORTC scratch tree.
-
-        Returns the scratch root plus one ``(leaf, shard, inherited)``
-        triple per *attached* shard, where ``leaf`` is the scratch node
-        standing in for the whole shard subtree and ``inherited`` is the
-        effective nexthop the root table propagates into it.
-        """
-        top_root = _ONode()
-        leaves: list[tuple[_ONode, FibTrie, Nexthop]] = []
-        stack: list[tuple[Node, _ONode, Nexthop]] = [(self.root, top_root, DROP)]
-        while stack:
-            node, mirror, inherited = stack.pop()
-            if node.prefix.length == self.boundary:
-                # A spliced shard root: becomes a leaf slot whose
-                # candidate set is grafted in before the merge pass.
-                index = shard_index(node.prefix, self.boundary)
-                assert index is not None
-                leaves.append((mirror, self._shards[index], inherited))
-                continue
-            mirror.label = node.d_o
-            eff = node.d_o if node.d_o is not None else inherited
-            if node.left is not None:
-                mirror.left = _ONode()
-                stack.append((node.left, mirror.left, eff))
-            if node.right is not None:
-                mirror.right = _ONode()
-                stack.append((node.right, mirror.right, eff))
-        return top_root, leaves
-
-    def _run_shard_tasks(
-        self, payloads: list[tuple[ShardEncoding, int, int, int, Nexthop]]
-    ) -> list[ShardResult]:
-        self._c_shard_tasks.inc(len(payloads))
-        if self.snapshot_workers <= 1:
-            return [snapshot_shard(*payload) for payload in payloads]
-        pool = self._ensure_pool()
-        futures: list[Future[ShardResult]] = [
-            pool.submit(snapshot_shard, *payload) for payload in payloads
-        ]
-        return [future.result() for future in futures]
-
-    def _stitched_snapshot(self) -> dict[Prefix, Nexthop]:
-        with self._obs.span(
-            "smalta_shard_snapshot", "Stitched per-shard ORTC snapshot"
-        ):
-            top_root, leaves = self._build_top_tree()
-            loaded = [triple for triple in leaves if triple[1].ot_size > 0]
-            results = self._run_shard_tasks(self._encode_payloads(loaded))
-            variants_at: dict[int, dict[Nexthop, list[tuple[Prefix, Nexthop]]]] = {}
-            for (leaf, _shard, _inherited), (nhset, variants) in zip(loaded, results):
-                leaf.nhset = frozenset(nhset)
-                variants_at[id(leaf)] = variants
-            for leaf, shard, inherited in leaves:
-                if shard.ot_size == 0:
-                    # Attached but OT-empty (bookkeeping nodes only): the
-                    # whole subtree resolves to the inherited nexthop, so
-                    # its candidate set is that singleton — and at most
-                    # one entry (at the shard base, when the propagated
-                    # choice differs) is ever emitted for it, exactly as
-                    # in a single-trie run.
-                    leaf.nhset = frozenset((inherited,))
-            _bottom_up(top_root, DROP)
-            self._obs.event(
-                "shard_snapshot",
-                shards=len(loaded),
-                workers=self.snapshot_workers,
-            )
-            return self._stitch_top_down(top_root, variants_at)
-
-    def _stitch_top_down(
-        self,
-        top_root: _ONode,
-        variants_at: dict[int, dict[Nexthop, list[tuple[Prefix, Nexthop]]]],
-    ) -> dict[Prefix, Nexthop]:
-        """ORTC pass 3 over the top tree, splicing worker output in place.
-
-        Mirrors :func:`repro.core.ortc._top_down` exactly — same stack
-        discipline, same phantom handling — so that when a shard leaf is
-        popped, emitting the shard-base entry (iff the propagated choice
-        is not in effect) followed by the worker's precomputed slice for
-        that choice reproduces, entry for entry, the order a single-trie
-        run would have produced at that point of its walk.
-        """
-        out: dict[Prefix, Nexthop] = {}
-        width = self.width
-        stack: list[tuple[_ONode, Nexthop, int, int]] = [(top_root, DROP, 0, 0)]
-        while stack:
-            node, assigned, value, length = stack.pop()
-            if assigned in node.nhset:
-                choice = assigned
-            else:
-                choice = min(node.nhset)
-                out[Prefix(value, length, width)] = choice
-            body = variants_at.get(id(node))
-            if body is not None:
-                out.update(body[choice])
-                continue
-            if node.left is None and node.right is None:
-                continue
-            child_bit = 1 << (width - 1 - length)
-            for bit, child in ((0, node.left), (1, node.right)):
-                child_value = value | child_bit if bit else value
-                if child is not None:
-                    stack.append((child, choice, child_value, length + 1))
-                elif node.eff != choice:
-                    out[Prefix(child_value, length + 1, width)] = node.eff
-        return out
-
-    # -- pool lifecycle -------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.snapshot_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the snapshot pool down (idempotent; pool is lazily rebuilt)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    def ortc_table(self) -> dict[Prefix, Nexthop]:
+        # Same body as the inherited method; defined here so tracers that
+        # wrap ShardedBackend.__dict__["ortc_table"] keep finding it.
+        return ortc_from_trie(self)

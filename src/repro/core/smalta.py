@@ -406,7 +406,7 @@ class SmaltaState:
     # -- snapshot -----------------------------------------------------------
 
     @must_consume
-    def snapshot(self, fast: bool = True, count: bool = True) -> list[FibDownload]:
+    def snapshot(self, count: bool = True) -> list[FibDownload]:
         """snapshot(OT): rebuild the AT optimally via ORTC (Section 2.1).
 
         Returns the FIB-download delta between the pre- and post-snapshot
@@ -414,12 +414,9 @@ class SmaltaState:
         nexthop is a Delete followed by an Insert).
 
         The rebuild itself is delegated to the backend
-        (:meth:`~repro.core.trie.FibTrie.ortc_table`): with ``fast=True``
-        (the default) the reference trie mirrors itself into the ORTC
-        scratch tree in one walk, while the sharded backend may fan the
-        work out per shard onto a process pool; ``fast=False`` keeps the
-        entry-stream baseline the batch benchmark compares against. All
-        paths produce the identical optimal table.
+        (:meth:`~repro.core.trie.FibTrie.ortc_table`), which on every
+        backend mirrors the union trie into the ORTC scratch tree in one
+        walk.
 
         ``count=False`` suppresses the ``smalta_snapshots_total``
         increment — used by the runtime toggle, which accounts its
@@ -431,7 +428,7 @@ class SmaltaState:
         with self.obs.span(
             "smalta_ortc", "ORTC rebuild inside snapshot(OT)"
         ):
-            new_table = trie.ortc_table(fast=fast)
+            new_table = trie.ortc_table()
         old_table = trie.at_table()
         downloads = diff_tables(old_table, new_table)
 
@@ -452,7 +449,7 @@ class SmaltaState:
         self._g_at_size.set(float(trie.at_size))
         return downloads
 
-    def rebuild(self, fast: bool = True, count: bool = True) -> int:
+    def rebuild(self, count: bool = True) -> int:
         """Run :meth:`snapshot` and *deliberately* discard the delta.
 
         The consuming wrapper for callers that only want the rebuilt AT
@@ -460,7 +457,7 @@ class SmaltaState:
         is explicit in the API instead of a bare unused return value
         (flow rule REPRO008). Returns the size of the discarded burst.
         """
-        return len(self.snapshot(fast=fast, count=count))
+        return len(self.snapshot(count=count))
 
     def _rebuild_preimages(self) -> None:
         """Recompute deaggregate preimage pointers for a fresh AT.

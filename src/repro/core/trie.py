@@ -332,19 +332,16 @@ class FibTrie:
     def at_table(self) -> dict[Prefix, Nexthop]:
         return dict(self.at_entries())
 
-    def ortc_table(self, fast: bool = True) -> dict[Prefix, Nexthop]:
+    def ortc_table(self) -> dict[Prefix, Nexthop]:
         """The optimal aggregation of this trie's OT (the snapshot core).
 
         This is the backend seam :meth:`~repro.core.smalta.SmaltaState.
-        snapshot` calls: the sharded backend overrides it to fan the work
-        out per shard. ``fast`` selects the trie-mirroring path over the
-        entry-stream baseline; both produce the identical table.
+        snapshot` calls; every backend answers it with the one-walk
+        mirror :func:`~repro.core.ortc.ortc_from_trie`.
         """
-        from repro.core.ortc import ortc, ortc_from_trie
+        from repro.core.ortc import ortc_from_trie
 
-        if fast:
-            return ortc_from_trie(self)
-        return ortc(self.ot_entries(), self.width)
+        return ortc_from_trie(self)
 
     @property
     def ot_size(self) -> int:

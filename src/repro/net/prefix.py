@@ -175,8 +175,7 @@ class Prefix:
     def __reduce__(self) -> tuple[type["Prefix"], tuple[int, int, int]]:
         # The immutability guard (__setattr__ raises) breaks pickle's
         # default state restore; rebuilding through the constructor keeps
-        # instances picklable, which the sharded snapshot's process pool
-        # relies on.
+        # instances picklable and copyable.
         return (Prefix, (self.value, self.length, self.width))
 
     def __repr__(self) -> str:

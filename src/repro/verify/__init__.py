@@ -33,7 +33,7 @@ that machinery, grown into five layers:
   (``python -m repro.verify.effects src/repro examples``): bottom-up
   interprocedural effect/purity inference over the same call graph,
   running rules REPRO013–REPRO017 (blocking-in-async, determinism-seam
-  bypass, shard-escape, un-picklable captures, impure snapshot paths).
+  bypass, shard-escape, impure snapshot paths; REPRO016 is retired).
 
 The three static layers share a single parse pass and a content-hash
 incremental cache (``.repro-cache/``), and run combined as

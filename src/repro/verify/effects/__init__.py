@@ -1,10 +1,9 @@
 """Layer 5: effect/purity inference and concurrency-readiness rules.
 
-The roadmap's next tentpoles — the asyncio aggregation daemon and the
-process-pool sharded ORTC — introduce concurrency into a codebase whose
-correctness story assumes single-threaded determinism. This package
-proves, *before* that code lands, which functions are pure, which state
-escapes a shard, and which call paths would block an event loop or
+The asyncio aggregation daemon hosts many tenants in one process, on a
+codebase whose correctness story assumes single-threaded determinism.
+This package proves which functions are pure, which state escapes a
+tenant's manager, and which call paths would block the event loop or
 break the injected-clock / seeded-RNG determinism seams.
 
 It builds on the flow engine (:mod:`repro.verify.flow`): the same
@@ -12,7 +11,7 @@ project symbol table and call graph, extended with a bottom-up
 interprocedural **effect inference** (:mod:`~repro.verify.effects.infer`)
 that summarizes, per function and propagated over the SCCs of the call
 graph, every blocking call, raw clock read, unseeded RNG use, IO
-operation, and module-global write. Five rules consume the summaries
+operation, and module-global write. Four rules consume the summaries
 (:mod:`~repro.verify.effects.rules`):
 
 - **REPRO013** ``blocking-in-async`` — a blocking call (``time.sleep``,
@@ -23,14 +22,11 @@ operation, and module-global write. Five rules consume the summaries
   fast-path alias);
 - **REPRO015** ``shard-escape`` — module-level mutable state written
   from code reachable by more than one shard entry point
-  (``SmaltaManager`` public methods, ``@shard_entry`` functions);
-- **REPRO016** ``unpicklable-capture`` — a lambda or locally-defined
-  closure handed to a process-pool seam (``submit``/``apply_async``/
-  ``Process(target=...)``);
+  (``SmaltaManager`` public methods);
 - **REPRO017** ``impure-snapshot-path`` — a global write, IO, or
   nondeterminism source reachable from ``snapshot``/``snapshot_now``/
-  ``ortc_from_trie``, which sharded per-process snapshots require to
-  be pure.
+  ``ortc_from_trie``, which must stay a pure function of the trie so
+  every backend and every tenant rebuilds the same table.
 
 Run it with ``python -m repro.verify.effects src/repro examples`` (same
 text/JSON/SARIF output, ``# repro: allow[RULE]`` suppressions, and

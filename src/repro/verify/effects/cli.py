@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "SMALTA concurrency-readiness analysis (rules REPRO013-"
             "REPRO017): interprocedural effect/purity inference powering "
-            "async-safety, determinism-seam, shard-escape, pickling, and "
+            "async-safety, determinism-seam, shard-escape, and "
             "snapshot-purity checks."
         ),
     )

@@ -1,4 +1,4 @@
-"""The concurrency-readiness rule set, REPRO013 through REPRO017.
+"""The concurrency-readiness rule set: REPRO013/014/015/017.
 
 Same contract as the flow rules (:mod:`repro.verify.flow.rules`): each
 rule is a plain function from :class:`EffectContext` to findings, and
@@ -15,7 +15,6 @@ positive/negative/suppressed fixtures under
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -29,8 +28,8 @@ from repro.verify.config import (
 )
 from repro.verify.effects.infer import EffectIndex, infer_effects, is_async
 from repro.verify.effects.summary import EffectSite
-from repro.verify.flow.callgraph import CallGraph, walk_scope
-from repro.verify.flow.project import FunctionInfo, Project, annotation_name
+from repro.verify.flow.callgraph import CallGraph
+from repro.verify.flow.project import FunctionInfo, Project
 from repro.verify.flow.report import Finding, relativize
 from repro.verify.flow.suppress import is_suppressed
 
@@ -38,20 +37,12 @@ from repro.verify.flow.suppress import is_suppressed
 #: clock/RNG use inside them is the implementation of the seam itself.
 BLESSED_SEAM_PACKAGES = frozenset({"faults"})
 
-#: Classes whose public methods are (current or future) shard entry
-#: points: concurrent shards will call into them independently.
+#: Classes whose public methods are shard entry points: every daemon
+#: tenant owns one manager, and tenants call into them independently.
 SHARD_ENTRY_CLASSES = frozenset({"SmaltaManager"})
 
-#: Decorator name that marks a function as an additional entry point.
-SHARD_ENTRY_DECORATOR = "shard_entry"
-
-#: Functions that must stay pure for per-process sharded snapshots.
+#: Functions that must stay a pure function of the trie they snapshot.
 SNAPSHOT_ROOT_NAMES = frozenset({"snapshot", "snapshot_now", "ortc_from_trie"})
-
-#: Attribute calls that hand work to a pickling executor seam.
-EXECUTOR_SUBMIT_ATTRS = frozenset(
-    {"submit", "apply_async", "map_async", "starmap", "starmap_async"}
-)
 
 #: Effect kinds that break snapshot purity (REPRO017).
 IMPURE_KINDS = ("global-write", "io", "rng", "clock")
@@ -166,10 +157,6 @@ def _shard_entry_points(ctx: EffectContext) -> list[FunctionInfo]:
         for method_name in sorted(info.methods):
             if not method_name.startswith("_"):
                 entries.append(info.methods[method_name])
-    for qualname in sorted(ctx.project.functions):
-        func = ctx.project.functions[qualname]
-        if SHARD_ENTRY_DECORATOR in func.decorators:
-            entries.append(func)
     return entries
 
 
@@ -212,99 +199,6 @@ def _rule_shard_escape(ctx: EffectContext) -> list[Finding]:
     return findings
 
 
-# -- REPRO016: un-picklable captures at executor seams ------------------
-
-
-def _local_function_names(body: Sequence[ast.stmt]) -> frozenset[str]:
-    """Names bound to nested defs or lambdas inside this scope."""
-    names: set[str] = set()
-    for node in walk_scope(body):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(node.name)
-        elif (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Lambda)
-        ):
-            names.add(node.targets[0].id)
-    return frozenset(names)
-
-
-def _receiver_hint(expr: ast.expr) -> str:
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts)).lower()
-
-
-def _submitted_callable(call: ast.Call) -> Optional[ast.expr]:
-    """The callable argument of an executor-seam call, if present."""
-    if len(call.args) > 0:
-        return call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg in ("func", "fn", "target"):
-            return keyword.value
-    return None
-
-
-def _rule_unpicklable_capture(ctx: EffectContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for qualname in sorted(ctx.project.functions):
-        func = ctx.project.functions[qualname]
-        local_funcs = _local_function_names(func.node.body)
-        for node in walk_scope(func.node.body):
-            if not isinstance(node, ast.Call):
-                continue
-            seam: Optional[str] = None
-            target: Optional[ast.expr] = None
-            if isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                hint = _receiver_hint(node.func.value)
-                pool_like = any(
-                    word in hint for word in ("pool", "executor", "proc")
-                )
-                if "thread" in hint:
-                    continue  # thread seams never pickle the callable
-                if attr in EXECUTOR_SUBMIT_ATTRS or (attr == "map" and pool_like):
-                    if attr in ("submit", "map") and not pool_like:
-                        continue
-                    seam = f"{hint or '<receiver>'}.{attr}()"
-                    target = _submitted_callable(node)
-            if seam is None:
-                cls_name = annotation_name(node.func)
-                if cls_name == "Process":
-                    seam = "Process(target=...)"
-                    for keyword in node.keywords:
-                        if keyword.arg == "target":
-                            target = keyword.value
-            if seam is None or target is None:
-                continue
-            reason: Optional[str] = None
-            if isinstance(target, ast.Lambda):
-                reason = "a lambda"
-            elif isinstance(target, ast.Name) and target.id in local_funcs:
-                reason = f"locally-defined function {target.id!r}"
-            if reason is None:
-                continue
-            findings.append(
-                Finding(
-                    "REPRO016",
-                    ctx.rel(func.path),
-                    node.lineno,
-                    qualname,
-                    f"{reason} is handed to {seam}; process-pool seams "
-                    "pickle their callable, and locals/lambdas cannot be "
-                    "pickled — pass a module-level function instead",
-                )
-            )
-    return findings
-
-
 # -- REPRO017: impurity reachable from the snapshot path ----------------
 
 
@@ -340,9 +234,10 @@ def _rule_impure_snapshot(ctx: EffectContext) -> list[Finding]:
                     anchor,
                     root_func.qualname,
                     f"snapshot-path function {root_func.qualname} reaches "
-                    f"impure {detail} ({kind}) {route}; sharded "
-                    "per-process snapshots require the snapshot path to "
-                    "be pure (writes confined to the manager's own state)",
+                    f"impure {detail} ({kind}) {route}; a snapshot must be "
+                    "a pure function of the trie so every backend and "
+                    "every daemon tenant rebuilds the same table (writes "
+                    "confined to the manager's own state)",
                 )
             )
     return findings
@@ -384,17 +279,11 @@ RULES: dict[str, RuleSpec] = {
         "entry point",
         _rule_shard_escape,
     ),
-    "REPRO016": RuleSpec(
-        "REPRO016",
-        "unpicklable-capture",
-        "lambda or local closure handed to a pickling executor seam",
-        _rule_unpicklable_capture,
-    ),
     "REPRO017": RuleSpec(
         "REPRO017",
         "impure-snapshot-path",
         "global write, IO, or nondeterminism reachable from the "
-        "snapshot path, which sharding requires to be pure",
+        "snapshot path, which must be a pure function of the trie",
         _rule_impure_snapshot,
     ),
 }

@@ -18,14 +18,13 @@ and a net ``FibDownload`` stream that replays to exactly the batched
 AT/FIB. This is the machinery that keeps every perf refactor honest.
 
 A fourth axis crosses all of the above: every scenario replays on the
-**sharded** backend (8 subtries behind a /3 boundary at this width, with
-the stitched per-shard snapshot protocol forced on) and on the **packed**
-backend (array-packed OT/AT lookup planes over a shadow trie), each of
-which must produce *byte-identical* download streams and tables — not
-merely equivalent ones — against the reference single trie. The packed
-replay additionally proves its incrementally patched arrays equal to a
-from-scratch rebuild and its LPM answers equal to the reference trie's
-over the whole address space.
+**sharded** backend (8 subtries behind a /3 boundary at this width) and
+on the **packed** backend (array-packed OT/AT lookup planes over a
+shadow trie), each of which must produce *byte-identical* download
+streams and tables — not merely equivalent ones — against the reference
+single trie. The packed replay additionally proves its incrementally
+patched arrays equal to a from-scratch rebuild and its LPM answers equal
+to the reference trie's over the whole address space.
 """
 
 from __future__ import annotations
@@ -89,14 +88,10 @@ def bursts_of(ops, boundaries):
 
 def make_state(backend: str) -> SmaltaState:
     """A fresh state on the named backend (sharded: /3 boundary → 8
-    shards at width 6, stitched snapshots forced so the per-shard
-    protocol is exercised in-process on every scenario; packed: stride
-    plan (3, 3) so the multi-level block machinery is exercised too)."""
+    shards at width 6; packed: stride plan (3, 3) so the multi-level
+    block machinery is exercised too)."""
     if backend == "sharded":
-        return SmaltaState(
-            WIDTH,
-            backend=ShardedBackend(WIDTH, boundary=3, force_stitch=True),
-        )
+        return SmaltaState(WIDTH, backend=ShardedBackend(WIDTH, boundary=3))
     if backend == "packed":
         return SmaltaState(WIDTH, backend=PackedBackend(WIDTH, strides=(3, 3)))
     return SmaltaState(WIDTH)
@@ -119,7 +114,30 @@ def run_sequential(
         else:
             downloads.extend(state.insert(prefix, nexthop))
             shadow[prefix] = nexthop
+        if backend == "sharded":
+            assert_sizes(state)
     return state, shadow, downloads
+
+
+def assert_sizes(state: SmaltaState) -> None:
+    """The incrementally kept entry counts match a full table walk."""
+    assert state.trie.ot_size == len(state.trie.ot_table())
+    assert state.trie.at_size == len(state.trie.at_table())
+
+
+def assert_oracle(state: SmaltaState, reference: SmaltaState) -> None:
+    """The snapshot mirror equals the entry-stream ORTC oracle, and emits
+    it in the reference backend's order.
+
+    Only the content is compared against the oracle: a mirrored node with
+    no OT label below it (AT-only or bookkeeping) emits its entry when
+    popped, where the oracle's phantom child emits it with the parent, so
+    the two orders differ once the AT has grown such nodes.
+    """
+    trie = state.trie
+    mirrored = ortc_from_trie(trie)
+    assert mirrored == ortc(trie.ot_entries(), trie.width)
+    assert list(mirrored.items()) == list(ortc_from_trie(reference.trie).items())
 
 
 def replay(downloads: list[FibDownload]) -> dict[Prefix, Nexthop]:
@@ -158,11 +176,9 @@ def check_agreement(ops, boundaries) -> None:
     # The batched download stream replays to exactly the batched AT.
     assert replay(downloads) == batched.at_table()
 
-    # The snapshot fast path and the entry-stream ORTC agree exactly on
-    # the batched trie (which contains AT-only and bookkeeping nodes).
-    assert ortc_from_trie(batched.trie) == ortc(
-        batched.trie.ot_entries(), WIDTH
-    )
+    # The snapshot mirror and the entry-stream ORTC agree exactly on the
+    # batched trie (which contains AT-only and bookkeeping nodes).
+    assert_oracle(batched, batched)
 
     # Backend differential: the sharded backend must be byte-identical
     # to the reference trie — same download stream entry for entry (not
@@ -180,16 +196,16 @@ def check_agreement(ops, boundaries) -> None:
     sharded_downloads: list[FibDownload] = []
     for burst in bursts_of(ops, boundaries):
         sharded_downloads.extend(sharded_batched.apply_batch(burst))
+        assert_sizes(sharded_batched)
     assert sharded_downloads == downloads
     assert sharded_batched.ot_table() == shadow
     assert sharded_batched.at_table() == batched.at_table()
     sharded_batched.verify()
 
-    # The stitched per-shard snapshot equals the single-trie mirror in
+    # The mirror over the spliced graph equals the single-trie mirror in
     # content AND iteration order — snapshot bursts are diffed in table
     # order, so ordering is part of download-log byte-identity.
-    stitched = sharded_batched.trie.ortc_table(fast=True)
-    assert list(stitched.items()) == list(ortc_from_trie(batched.trie).items())
+    assert_oracle(sharded_batched, batched)
 
     # Packed backend differential: same byte-identity bar as sharded —
     # sequential and batched replays, entry for entry.
@@ -210,6 +226,7 @@ def check_agreement(ops, boundaries) -> None:
     assert packed_batched.ot_table() == shadow
     assert packed_batched.at_table() == batched.at_table()
     packed_batched.verify()
+    assert_oracle(packed_batched, batched)
 
     # The packed planes themselves: incremental patching ≡ rebuild from
     # scratch, and the array LPM ≡ the reference trie's node walk over

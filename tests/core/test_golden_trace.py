@@ -241,13 +241,10 @@ def test_golden_paths_agree(golden):
 # sharded backend must not move a single one of them — and beyond the
 # summary, its download *stream* (every FibDownload, in order, including
 # the initial End-of-RIB burst) must match the reference entry for entry.
-# The sequential replay runs the stitched per-shard snapshot protocol
-# (``force_stitch=True``); the batched replay runs the default spliced
-# mirror path, so both snapshot implementations are pinned to the trace.
 
 
-def _sharded_manager(table, force_stitch: bool) -> SmaltaManager:
-    backend = ShardedBackend(32, force_stitch=force_stitch)
+def _sharded_manager(table) -> SmaltaManager:
+    backend = ShardedBackend(32)
     manager = SmaltaManager(
         width=32,
         policy=PeriodicUpdateCountPolicy(SNAPSHOT_SPACING),
@@ -277,7 +274,7 @@ def _reference_manager(table) -> SmaltaManager:
 def test_golden_sequential_sharded(golden):
     table, trace = golden
     reference = _reference_manager(table)
-    sharded = _sharded_manager(table, force_stitch=True)
+    sharded = _sharded_manager(table)
     for update in trace:
         reference.apply(update)
         sharded.apply(update)
@@ -292,7 +289,7 @@ def test_golden_sequential_sharded(golden):
 def test_golden_batched_sharded(golden):
     table, trace = golden
     reference = _reference_manager(table)
-    sharded = _sharded_manager(table, force_stitch=False)
+    sharded = _sharded_manager(table)
     for burst in iter_bursts(trace, max_gap_s=0.02):
         reference.apply_batch(burst)
         sharded.apply_batch(burst)

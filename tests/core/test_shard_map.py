@@ -12,9 +12,9 @@ spliced into the root table as real child nodes). This module pins both:
   live in *two different shards* resolves lookups exactly like the
   reference trie — the regression that would catch a splice that loses
   the covering context at shard boundaries;
-- the worker-protocol plumbing: ``Prefix`` survives pickling (the
-  process pool ships prefixes in both directions) and the structural
-  encode/decode round-trips shard subtrees.
+- incremental sizes: the backend's ``ot_size``/``at_size`` counts,
+  kept per mutation, match a full table walk;
+- ``Prefix`` survives pickling.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from repro.core.backend import (
     make_backend,
     resolve_backend_name,
 )
-from repro.core.shards import (
-    ShardedBackend,
-    _decode_subtree,
-    _encode_subtree,
-    default_boundary,
-    shard_index,
-)
+from repro.core.shards import ShardedBackend, default_boundary, shard_index
 from repro.core.smalta import SmaltaState
 from repro.core.trie import FibTrie
 from repro.net.nexthop import DROP, Nexthop
@@ -147,7 +141,7 @@ def test_root_table_slash7_covers_two_shards():
 @given(tables(WIDTH))
 def test_sharded_lpm_matches_reference_and_oracle(table):
     reference = FibTrie(WIDTH)
-    sharded = ShardedBackend(WIDTH, boundary=BOUNDARY, force_stitch=True)
+    sharded = ShardedBackend(WIDTH, boundary=BOUNDARY)
     for prefix, nexthop in table.items():
         reference.set_ot(prefix, nexthop)
         sharded.set_ot(prefix, nexthop)
@@ -176,13 +170,14 @@ def test_sharded_withdrawals_track_reference(table, removals):
     for prefix in removals:
         assert reference.set_ot(prefix, None) == sharded.set_ot(prefix, None)
     assert sharded.ot_table() == reference.ot_table()
+    assert sharded.ot_size == reference.ot_size == len(reference.ot_table())
     assert sharded.node_count() == reference.node_count()
     assert list(sharded.ortc_table().items()) == list(
         reference.ortc_table().items()
     )
 
 
-# -- worker-protocol plumbing ----------------------------------------------
+# -- prefix pickling --------------------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,29 +190,6 @@ def test_prefix_pickle_round_trip(prefix):
 def test_prefix_pickle_round_trip_ipv4():
     prefix = Prefix.from_string("203.0.113.0/24")
     assert pickle.loads(pickle.dumps(prefix)) == prefix
-
-
-@settings(max_examples=100, deadline=None)
-@given(tables(WIDTH))
-def test_structural_encoding_round_trips(table):
-    """Encode→decode preserves shape and OT labels of shard subtrees."""
-    sharded = ShardedBackend(WIDTH, boundary=BOUNDARY)
-    for prefix, nexthop in table.items():
-        sharded.set_ot(prefix, nexthop)
-    for shard in sharded._shards:
-        if shard.root.parent is None:
-            continue
-        decoded = _decode_subtree(_encode_subtree(shard.root))
-        stack = [(shard.root, decoded)]
-        while stack:
-            node, mirror = stack.pop()
-            assert mirror.label == node.d_o
-            assert (mirror.left is not None) == (node.left is not None)
-            assert (mirror.right is not None) == (node.right is not None)
-            if node.left is not None:
-                stack.append((node.left, mirror.left))
-            if node.right is not None:
-                stack.append((node.right, mirror.right))
 
 
 # -- backend selection ------------------------------------------------------
@@ -243,10 +215,6 @@ def test_make_backend_and_names(monkeypatch):
         assert "no-such-backend" in str(error)
     else:
         raise AssertionError("unknown backend name must raise")
-    monkeypatch.setenv("SMALTA_SNAPSHOT_WORKERS", "3")
-    workers_backend = make_backend("sharded", width=WIDTH)
-    assert isinstance(workers_backend, ShardedBackend)
-    assert workers_backend.snapshot_workers == 3
 
 
 def test_state_accepts_backend_instance():

@@ -7,7 +7,7 @@ hosted daemon tenant and must produce a download log **entry-for-entry
 identical** to a batch :class:`~repro.router.pipeline.RouterPipeline`
 run of the same feed. Every trie backend is crossed in every scenario:
 the reference single trie, the sharded backend (/3 boundary → 8 shards
-at width 6, stitched snapshots forced), and the packed backend (3+3
+at width 6), and the packed backend (3+3
 stride plan), so one test run covers the full backend × path matrix
 regardless of ``SMALTA_BACKEND``.
 """
@@ -52,7 +52,7 @@ def make_backend_instance(backend: str) -> "str | FibTrie":
     explicit width-6 instances the core harness uses (the /8 boundary
     and 16+8+8 stride defaults assume IPv4 widths)."""
     if backend == "sharded":
-        return ShardedBackend(WIDTH, boundary=3, force_stitch=True)
+        return ShardedBackend(WIDTH, boundary=3)
     if backend == "packed":
         return PackedBackend(WIDTH, strides=(3, 3))
     return "single"

@@ -55,7 +55,7 @@ def golden():
 
 def make_backend(name: str) -> "str | FibTrie":
     if name == "sharded":
-        return ShardedBackend(32, force_stitch=True)
+        return ShardedBackend(32)
     return "single"
 
 

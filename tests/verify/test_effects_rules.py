@@ -141,9 +141,6 @@ class TestShardEscape:
     def test_single_writer_state_is_clean(self) -> None:
         assert "escape.SINGLE_WRITER_LOG" not in symbols(run("shard", "REPRO015"))
 
-    def test_decorated_entry_points_count(self) -> None:
-        assert "decorated.ROUTE_CACHE" in symbols(run("shard", "REPRO015"))
-
     def test_suppression_at_the_binding_waives_it(self) -> None:
         assert "escape.WAIVED_POOL" not in symbols(run("shard", "REPRO015"))
 
@@ -153,19 +150,6 @@ class TestShardEscape:
         ]
         assert finding.path.endswith("escape.py")
         assert finding.line == 3
-
-    def test_snapshot_worker_cache_leak_reported(self) -> None:
-        """The sharded-snapshot failure mode: a worker caching results in
-        module state loses them across the pool's process boundary."""
-        findings = run("shard", "REPRO015")
-        assert "workers.RESULT_CACHE" in symbols(findings)
-        (finding,) = [f for f in findings if f.symbol == "workers.RESULT_CACHE"]
-        assert "workers.snapshot_shard" in finding.message
-        assert "workers.reset_worker" in finding.message
-
-    def test_snapshot_worker_single_writer_and_pure_are_clean(self) -> None:
-        reported = symbols(run("shard", "REPRO015"))
-        assert "workers.LAST_ERROR" not in reported
 
     def test_packed_stride_cache_escape_reported(self) -> None:
         """The packed-rebuild failure mode: module-level stride arrays
@@ -182,43 +166,6 @@ class TestShardEscape:
     def test_packed_instance_arrays_and_telemetry_are_clean(self) -> None:
         reported = symbols(run("shard", "REPRO015"))
         assert "packed_tables.REBUILD_COUNTS" not in reported
-
-
-class TestUnpicklableCapture:
-    def test_lambda_and_closure_captures_reported(self) -> None:
-        reported = symbols(run("pickle", "REPRO016"))
-        assert "captures.lambda_to_pool" in reported
-        assert "captures.closure_to_executor" in reported
-        assert "captures.lambda_to_apply_async" in reported
-        assert "captures.process_target" in reported
-
-    def test_module_level_function_is_clean(self) -> None:
-        assert "captures.module_fn_is_fine" not in symbols(run("pickle", "REPRO016"))
-
-    def test_thread_pools_are_exempt(self) -> None:
-        assert "captures.thread_pools_do_not_pickle" not in symbols(
-            run("pickle", "REPRO016")
-        )
-
-    def test_builtin_map_is_not_a_seam(self) -> None:
-        assert "captures.plain_map_is_not_a_seam" not in symbols(
-            run("pickle", "REPRO016")
-        )
-
-    def test_suppression_waives_the_capture(self) -> None:
-        assert "captures.waived" not in symbols(run("pickle", "REPRO016"))
-
-    def test_shard_dispatch_closure_reported(self) -> None:
-        """The coordinator-side failure mode: a per-shard closure handed
-        to the snapshot pool dies at the pickling boundary."""
-        assert "snapshot_pool.dispatch_closure" in symbols(
-            run("pickle", "REPRO016")
-        )
-
-    def test_shard_dispatch_module_worker_is_clean(self) -> None:
-        assert "snapshot_pool.dispatch_module_worker" not in symbols(
-            run("pickle", "REPRO016")
-        )
 
 
 class TestImpureSnapshotPath:
@@ -272,7 +219,6 @@ class TestCatalogAndRepo:
             "REPRO013",
             "REPRO014",
             "REPRO015",
-            "REPRO016",
             "REPRO017",
         ]
         for spec in RULES.values():

@@ -51,7 +51,7 @@ class TestCodeRouting:
     def test_the_passes_partition_the_codes(self) -> None:
         assert LINT_CODES == {f"REPRO00{i}" for i in range(1, 7)}
         assert FLOW_CODES == {f"REPRO0{i:02d}" for i in range(7, 13)}
-        assert EFFECT_CODES == {f"REPRO0{i:02d}" for i in range(13, 18)}
+        assert EFFECT_CODES == {"REPRO013", "REPRO014", "REPRO015", "REPRO017"}
         assert INTERLEAVE_CODES == {f"REPRO0{i:02d}" for i in range(18, 24)}
         assert not (LINT_CODES & FLOW_CODES)
         assert not (FLOW_CODES & EFFECT_CODES)
