@@ -31,6 +31,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.core.ortc import PlanStep
 from repro.core.packed import PackedBackend
 from repro.core.shards import ShardedBackend
 from repro.core.trie import FibTrie, Node
@@ -104,7 +105,7 @@ class TrieBackend(Protocol):
 
     def at_table(self) -> dict[Prefix, Nexthop]: ...
 
-    def ortc_table(self) -> dict[Prefix, Nexthop]: ...
+    def ortc_table(self) -> list[PlanStep]: ...
 
     @property
     def ot_size(self) -> int: ...

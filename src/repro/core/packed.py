@@ -4,7 +4,7 @@ The reference :class:`~repro.core.trie.FibTrie` answers a longest-prefix
 lookup by chasing one Python object per bit — up to 33 pointer hops and
 attribute loads per address at IPv4 width. ``PackedBackend`` keeps that
 node trie as a *shadow* (so every structural walk the ``TrieBackend``
-protocol demands — ψ walks, the auditor, ``ortc_from_trie``, entry
+protocol demands — ψ walks, the auditor, the in-place ORTC, entry
 iteration — behaves byte-for-byte like the reference), and overlays two
 level-compressed stride tables (one per label plane, OT and AT) built
 from flat ``array`` buffers with no per-node objects at all:
@@ -356,7 +356,7 @@ class PackedBackend(FibTrie):
 
     Structurally this *is* the reference trie — every node, label, and
     bookkeeping pointer lives in the inherited shadow, so the auditor,
-    ψ walks, ``ortc_from_trie``, and entry iteration are inherited
+    ψ walks, the in-place ORTC, and entry iteration are inherited
     verbatim and the download log stays byte-identical by construction.
     What changes hands: the two label mutation points additionally
     patch a :class:`_PackedTable` per plane, and the two hot-path

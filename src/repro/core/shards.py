@@ -11,22 +11,22 @@ table as real child nodes: whenever a shard is non-empty, its root's
 ``parent`` pointer and the corresponding depth-(boundary-1) child slot
 are kept wired, so the composite node graph is node-for-node isomorphic
 to the single reference trie. Every inherited whole-graph traversal —
-LPM lookups, ψ walks, entry iteration, node counting, preimage rebuild,
-the invariants auditor, the ORTC snapshot mirror — therefore behaves
+LPM lookups, ψ walks, entry iteration, node counting, the invariants
+auditor, the in-place ORTC snapshot — therefore behaves
 *identically* by construction. Only point operations are
 overridden, and they simply route to the owning shard by the top
 ``boundary`` bits of the prefix.
 
-Snapshots are therefore not sharded at all: ORTC mirrors the spliced
-graph in one walk (:func:`~repro.core.ortc.ortc_from_trie`), exactly as
-it does the reference trie.
+Snapshots are therefore not sharded at all: ORTC runs in place over the
+spliced graph in one walk (:func:`~repro.core.ortc.ortc_plan`), exactly
+as it does over the reference trie.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.ortc import ortc_from_trie
+from repro.core.ortc import PlanStep, ortc_plan
 from repro.core.trie import FibTrie, Node
 from repro.net.nexthop import Nexthop
 from repro.net.prefix import Prefix
@@ -136,7 +136,11 @@ class ShardedBackend(FibTrie):
         before = shard.at_size
         shard.set_at_node(node, nexthop)
         self._shard_at += shard.at_size - before
-        self._sync_shard(shard)
+        # Only a clear can empty a shard, and only a detached shard needs
+        # attaching: labeling inside an attached one leaves the splice as
+        # it is (the snapshot writes thousands of labels this way).
+        if nexthop is None or shard.root.parent is None:
+            self._sync_shard(shard)
 
     # set_at / get_ot / get_at dispatch through find/ensure/set_at_node
     # and need no routing of their own; set_pi is a *global* node-graph
@@ -202,7 +206,7 @@ class ShardedBackend(FibTrie):
 
     # -- snapshot -------------------------------------------------------
 
-    def ortc_table(self) -> dict[Prefix, Nexthop]:
+    def ortc_table(self) -> list[PlanStep]:
         # Same body as the inherited method; defined here so tracers that
         # wrap ShardedBackend.__dict__["ortc_table"] keep finding it.
-        return ortc_from_trie(self)
+        return ortc_plan(self.root)

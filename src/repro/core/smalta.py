@@ -28,12 +28,36 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.downloads import FibDownload, diff_tables
+from repro.core.downloads import FibDownload
 from repro.core.trie import FibTrie, Node
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
 from repro.obs.observability import Observability
 from repro.verify.markers import must_consume
+
+
+def _preimage(
+    node: Node, label: Nexthop, owner: Optional[Node], nil_node: Node
+) -> Optional[Node]:
+    """The preimage pointer a freshly snapshotted AT node must carry.
+
+    A node that is not itself an OT entry is a deaggregate when it is an
+    explicit null route (of the unrouted context, ``nil_node``) or when
+    its nearest strictly-enclosing OT entry ``owner`` carries the same
+    nexthop (a deaggregate extends a prefix of its preimage).
+    """
+    if node.d_o is not None:
+        return None
+    if label == DROP:
+        return nil_node
+    if owner is not None and owner.d_o == label:
+        return owner
+    return None
+
+
+def _prefix_key(node: Node) -> tuple[int, int]:
+    """Prefix order, the iteration order of ``at_table()``, as a sort key."""
+    return node.prefix.value, node.prefix.length
 
 
 class SmaltaState:
@@ -411,12 +435,18 @@ class SmaltaState:
 
         Returns the FIB-download delta between the pre- and post-snapshot
         ATs using the paper's Graceful-Restart accounting (a changed
-        nexthop is a Delete followed by an Insert).
+        nexthop is a Delete followed by an Insert), ordered like
+        :func:`~repro.core.downloads.diff_tables`: inserts of new
+        prefixes in ORTC emission order, then the Delete+Insert pairs of
+        changed prefixes, then the removes, both in prefix order.
 
-        The rebuild itself is delegated to the backend
-        (:meth:`~repro.core.trie.FibTrie.ortc_table`), which on every
-        backend mirrors the union trie into the ORTC scratch tree in one
-        walk.
+        ORTC runs in place on the live union trie: the backend's
+        :meth:`~repro.core.trie.FibTrie.ortc_table` returns the ordered
+        pass-3 plan, and this method applies it — writing only the
+        labels that change, creating the nodes of phantom-child entries,
+        and re-pointing only the preimages that move. Labels are set
+        before any are cleared and pointers move in between, so no node
+        the plan still names can be pruned under it.
 
         ``count=False`` suppresses the ``smalta_snapshots_total``
         increment — used by the runtime toggle, which accounts its
@@ -428,20 +458,54 @@ class SmaltaState:
         with self.obs.span(
             "smalta_ortc", "ORTC rebuild inside snapshot(OT)"
         ):
-            new_table = trie.ortc_table()
-        old_table = trie.at_table()
-        downloads = diff_tables(old_table, new_table)
+            plan = trie.ortc_table()
+
+        nil_node = trie.nil_node
+        downloads: list[FibDownload] = []  # inserts of new prefixes first
+        moved: list[tuple[Node, Nexthop]] = []
+        cleared: list[Node] = []
+        writes: list[tuple[Node, Nexthop]] = []
+        phantoms: list[tuple[Prefix, Nexthop, Optional[Node]]] = []
+        pointers: list[tuple[Node, Optional[Node]]] = []
+        for node, bit, label, owner in plan:
+            if label is None:
+                cleared.append(node)
+                continue
+            if bit >= 0:
+                prefix = node.prefix.child(bit)
+                downloads.append(FibDownload.insert(prefix, label))
+                phantoms.append((prefix, label, owner))
+                continue
+            old = node.d_a
+            if old is None:
+                downloads.append(FibDownload.insert(node.prefix, label))
+                writes.append((node, label))
+            elif old != label:
+                moved.append((node, label))
+                writes.append((node, label))
+            preimage = _preimage(node, label, owner, nil_node)
+            if node.pi is not preimage:
+                pointers.append((node, preimage))
+
+        moved.sort(key=lambda item: _prefix_key(item[0]))
+        for node, label in moved:
+            downloads.append(FibDownload.delete(node.prefix))
+            downloads.append(FibDownload.insert(node.prefix, label))
+        cleared.sort(key=_prefix_key)
+        downloads.extend(FibDownload.delete(node.prefix) for node in cleared)
 
         self._capture = False
         try:
-            for node in list(trie.iter_nodes()):
-                trie.set_pi(node, None)
-            for prefix in old_table:
-                if prefix not in new_table:
-                    trie.set_at(prefix, None)
-            for prefix, nexthop in new_table.items():
-                trie.set_at(prefix, nexthop)
-            self._rebuild_preimages()
+            for node, label in writes:
+                trie.set_at_node(node, label)
+            for prefix, label, owner in phantoms:
+                node = trie.ensure(prefix)
+                trie.set_at_node(node, label)
+                pointers.append((node, _preimage(node, label, owner, nil_node)))
+            for node, preimage in pointers:
+                trie.set_pi(node, preimage)
+            for node in cleared:
+                trie.set_at_node(node, None)
         finally:
             self._capture = True
             self._events.clear()
@@ -458,27 +522,6 @@ class SmaltaState:
         (flow rule REPRO008). Returns the size of the discarded burst.
         """
         return len(self.snapshot(count=count))
-
-    def _rebuild_preimages(self) -> None:
-        """Recompute deaggregate preimage pointers for a fresh AT.
-
-        An AT node is a deaggregate when it is not itself an OT entry and
-        its nearest strictly-enclosing OT entry carries the same nexthop
-        (Definition: a deaggregate extends a prefix of P to the right).
-        """
-        trie = self.trie
-        stack: list[tuple[Node, Optional[Node]]] = [(trie.root, None)]
-        while stack:
-            node, nearest_ot = stack.pop()
-            if node.d_a is not None and node.d_o is None:
-                if node.d_a == DROP:
-                    # Explicit null route: a deaggregate of the unrouted
-                    # context (it can have no covering OT entry).
-                    trie.set_pi(node, trie.nil_node)
-                elif nearest_ot is not None and nearest_ot.d_o == node.d_a:
-                    trie.set_pi(node, nearest_ot)
-            here = node if node.d_o is not None else nearest_ot
-            stack.extend((child, here) for child in node.children())
 
     # -- introspection ------------------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
+from repro.core.ortc import PlanStep, ortc_plan
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
 
@@ -332,16 +333,15 @@ class FibTrie:
     def at_table(self) -> dict[Prefix, Nexthop]:
         return dict(self.at_entries())
 
-    def ortc_table(self) -> dict[Prefix, Nexthop]:
-        """The optimal aggregation of this trie's OT (the snapshot core).
+    def ortc_table(self) -> list[PlanStep]:
+        """ORTC's passes over this trie, in place (the snapshot core).
 
-        This is the backend seam :meth:`~repro.core.smalta.SmaltaState.
-        snapshot` calls; every backend answers it with the one-walk
-        mirror :func:`~repro.core.ortc.ortc_from_trie`.
+        Returns the ordered pass-3 plan of
+        :func:`~repro.core.ortc.ortc_plan` without touching the trie;
+        :meth:`~repro.core.smalta.SmaltaState.snapshot` applies it. This
+        is the backend seam every backend answers with the same walk.
         """
-        from repro.core.ortc import ortc_from_trie
-
-        return ortc_from_trie(self)
+        return ortc_plan(self.root)
 
     @property
     def ot_size(self) -> int:

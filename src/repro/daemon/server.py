@@ -41,6 +41,32 @@ from repro.obs.observability import Observability
 DUMP_TABLES = ("fib", "ot", "at", "kernel")
 
 
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """One newline-terminated frame; at EOF, whatever is left (maybe b"")."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+
+
+async def _skip_frame(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Discard an over-limit frame through its newline; False at EOF.
+
+    ``consumed`` is the over-limit error's count of frame bytes already
+    buffered; the rest may still be arriving, one limit's worth at most
+    buffered at a time.
+    """
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
+
+
 class DaemonError(Exception):
     """A command-level failure, reported in-band as an error frame."""
 
@@ -145,7 +171,10 @@ class AggregationDaemon:
                 if not tenant.running:
                     tenant.start()
             control = await asyncio.start_server(
-                self._handle_control, host, control_port
+                self._handle_control,
+                host,
+                control_port,
+                limit=protocol.MAX_LINE_BYTES,
             )
             metrics = await asyncio.start_server(
                 self._handle_scrape, host, metrics_port
@@ -211,14 +240,27 @@ class AggregationDaemon:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                    line = await _read_frame(reader)
+                except asyncio.LimitOverrunError as exc:
+                    # Over MAX_LINE_BYTES. readline would raise ValueError
+                    # and leave the frame's tail in the stream; refuse it
+                    # in-band and skip it through its newline instead.
+                    self._c_proto_errors.inc()
+                    writer.write(
+                        protocol.error_response(
+                            None, f"frame exceeds {protocol.MAX_LINE_BYTES} bytes"
+                        )
+                    )
+                    if not await _skip_frame(reader, exc.consumed):
+                        break
+                except ConnectionError:
                     break
-                if len(line) == 0:
-                    break
-                if line.strip() == b"":
-                    continue
-                writer.write(await self._respond(line))
+                else:
+                    if len(line) == 0:
+                        break
+                    if line.strip() == b"":
+                        continue
+                    writer.write(await self._respond(line))
                 try:
                     await writer.drain()
                 except ConnectionError:

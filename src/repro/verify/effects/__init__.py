@@ -25,7 +25,7 @@ operation, and module-global write. Four rules consume the summaries
   (``SmaltaManager`` public methods);
 - **REPRO017** ``impure-snapshot-path`` — a global write, IO, or
   nondeterminism source reachable from ``snapshot``/``snapshot_now``/
-  ``ortc_from_trie``, which must stay a pure function of the trie so
+  ``ortc_table``, which must stay a pure function of the trie so
   every backend and every tenant rebuilds the same table.
 
 Run it with ``python -m repro.verify.effects src/repro examples`` (same

@@ -42,7 +42,7 @@ BLESSED_SEAM_PACKAGES = frozenset({"faults"})
 SHARD_ENTRY_CLASSES = frozenset({"SmaltaManager"})
 
 #: Functions that must stay a pure function of the trie they snapshot.
-SNAPSHOT_ROOT_NAMES = frozenset({"snapshot", "snapshot_now", "ortc_from_trie"})
+SNAPSHOT_ROOT_NAMES = frozenset({"snapshot", "snapshot_now", "ortc_table"})
 
 #: Effect kinds that break snapshot purity (REPRO017).
 IMPURE_KINDS = ("global-write", "io", "rng", "clock")

@@ -74,6 +74,11 @@ class InvariantCode(enum.Enum):
     #: Post-snapshot only: an AT label equals the value its nearest
     #: labeled AT ancestor already propagates (ORTC never emits these).
     AT_REDUNDANT = "at-redundant"
+    #: Post-snapshot only: a deaggregate lacks the preimage pointer the
+    #: snapshot owes it (an explicit DROP must point at the unrouted
+    #: context; a label equal to the nearest enclosing OT entry's nexthop
+    #: must point at that entry).
+    PI_MISSING = "pi-missing"
     #: The Original Tree differs from the caller's reference table.
     OT_MISMATCH = "ot-mismatch"
     #: The Aggregated Tree is not semantically equivalent to the OT
@@ -368,12 +373,45 @@ def _check_minimality(trie: FibTrie, out: list[Violation]) -> None:
             )
 
 
+def _check_preimage_completeness(trie: FibTrie, out: list[Violation]) -> None:
+    """Post-snapshot check: every deaggregate carries its preimage pointer.
+
+    The snapshot rebuilds the ``pi`` map from scratch, so right after one
+    each non-OT AT node labeled DROP points at the unrouted context and
+    each non-OT AT node whose nearest strictly-enclosing OT entry has the
+    same nexthop points at that entry. A missing pointer would hide the
+    deaggregate from the next Insert/Delete of its preimage.
+    """
+    stack: list[tuple[Node, Optional[Node]]] = [(trie.root, None)]
+    while stack:
+        node, owner = stack.pop()
+        if node.d_a is not None and node.d_o is None:
+            expected: Optional[Node] = None
+            if node.d_a == DROP:
+                expected = trie.nil_node
+            elif owner is not None and owner.d_o == node.d_a:
+                expected = owner
+            if expected is not None and node.pi is not expected:
+                name = "nil" if expected is trie.nil_node else str(expected.prefix)
+                out.append(
+                    Violation(
+                        InvariantCode.PI_MISSING,
+                        node.prefix,
+                        f"deaggregate labeled {node.d_a} does not point at "
+                        f"its preimage {name}",
+                    )
+                )
+        here = node if node.d_o is not None else owner
+        stack.extend((child, here) for child in node.children())
+
+
 def audit_trie(trie: FibTrie, optimal: bool = False) -> list[Violation]:
     """Audit the structural invariants of one OT/AT union trie.
 
     With ``optimal=True`` (valid only immediately after a snapshot) the
-    label-minimality check is included. Returns all violations found;
-    an empty list means the trie is healthy.
+    label-minimality and preimage-completeness checks are included.
+    Returns all violations found; an empty list means the trie is
+    healthy.
     """
     out: list[Violation] = []
     _check_structure(trie, out)
@@ -382,6 +420,7 @@ def audit_trie(trie: FibTrie, optimal: bool = False) -> list[Violation]:
     _check_ot_coverage(trie, out)
     if optimal:
         _check_minimality(trie, out)
+        _check_preimage_completeness(trie, out)
     return out
 
 

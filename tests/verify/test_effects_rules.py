@@ -173,7 +173,7 @@ class TestImpureSnapshotPath:
         findings = run("snap", "REPRO017")
         reported = symbols(findings)
         assert "impure.snapshot" in reported
-        assert "impure.ortc_from_trie" in reported
+        assert "impure.ortc_table" in reported
 
     def test_witness_chain_in_message(self) -> None:
         io_findings = [
@@ -198,7 +198,7 @@ class TestImpureSnapshotPath:
         findings = run("snap", "REPRO017")
         reported = symbols(findings)
         assert "packed_rebuild.snapshot" in reported
-        assert "packed_rebuild.ortc_from_trie" in reported
+        assert "packed_rebuild.ortc_table" in reported
         io_findings = [
             f
             for f in findings

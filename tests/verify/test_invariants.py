@@ -185,6 +185,26 @@ def test_redundant_at_label_post_snapshot_only():
     assert InvariantCode.AT_REDUNDANT not in codes_of(audit_trie(trie))
 
 
+def test_missing_preimage_post_snapshot_only():
+    state = SmaltaState(WIDTH)
+    for bits, nexthop in [("0", A), ("00", B), ("000", A)]:
+        state.load(p(bits), nexthop)
+    state.snapshot()
+    trie = state.trie
+    # ORTC covers 00* with A from 0/1 and re-routes 001/3 to B: a
+    # deaggregate of the OT entry 00/2.
+    deaggregate = trie.find(p("001"))
+    assert deaggregate is not None and deaggregate.pi is trie.find(p("00"))
+    assert audit_trie(trie, optimal=True) == []
+    trie.set_pi(deaggregate, None)
+    flagged = audit_trie(trie, optimal=True)
+    assert codes_of(flagged) == {InvariantCode.PI_MISSING}
+    assert [violation.prefix for violation in flagged] == [p("001")]
+    # The completeness rule belongs to the snapshot alone: incremental
+    # updates leave it to Algorithms 1-3, so it is not flagged between.
+    assert audit_trie(trie) == []
+
+
 def test_semantic_divergence_detected():
     state = healthy_state()
     state.trie.set_at(p("00000000"), C)  # OT routes this address to A
