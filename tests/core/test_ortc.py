@@ -92,6 +92,38 @@ class TestSemantics:
         aggregated = ortc(original.items(), 4)
         assert aggregated == original  # already optimal
 
+    def test_large_nexthop_keys(self):
+        """A set is as wide as the run's distinct nexthops, whatever their
+        keys: netsim's EGRESS (key 9,999,999) beside small keys aggregates
+        with the min-key tie-break and small sets."""
+        import tracemalloc
+
+        from repro.netsim import EGRESS
+
+        a = NH[0]
+        pair = {
+            Prefix.from_bits("0", width=4): EGRESS,
+            Prefix.from_bits("1", width=4): a,
+        }
+        assert ortc(pair.items(), 4) == {
+            Prefix.root(4): a,
+            Prefix.from_bits("0", width=4): EGRESS,
+        }
+
+        table = {
+            Prefix.from_bits(format(index, "06b"), width=8): EGRESS if index % 3 else a
+            for index in range(64)
+        }
+        tracemalloc.start()
+        try:
+            aggregated = ortc(table.items(), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert semantically_equivalent(table, aggregated, 8)
+        # A set indexed by raw key would hold 1.25 MB per EGRESS node.
+        assert peak < 1_000_000
+
     def test_width_mismatch_rejected(self):
         import pytest
 
