@@ -83,11 +83,13 @@ class TrieBackend(Protocol):
 
     def set_pi(self, node: Node, preimage: Optional[Node]) -> None: ...
 
-    def deaggregates_of(self, node: Node) -> list[Node]: ...
+    def deaggregates_of(
+        self, node: Node, within: Optional[Prefix] = None
+    ) -> list[Node]: ...
 
-    def psi_o(self, prefix: Prefix) -> Optional[Node]: ...
-
-    def psi_eq_o(self, prefix: Prefix) -> Optional[Node]: ...
+    def psi_o_a(
+        self, prefix: Prefix, inclusive: bool = False
+    ) -> tuple[Optional[Node], Optional[Node]]: ...
 
     def psi_a(self, prefix: Prefix) -> Optional[Node]: ...
 

@@ -234,15 +234,17 @@ class SmaltaState:
             trie.prune(node_n)
             return
 
-        # Values indexed O (before the update):
-        p_node = trie.psi_eq_o(prefix)  # P := Ψ=_O(N); may be n(N) itself
-        i_node = trie.psi_a(prefix)  # I := Ψ_A(N)
+        # Values indexed O (before the update), from one root-to-N walk:
+        # P := Ψ=_O(N), which may be n(N) itself; I := Ψ_A(N).
+        p_node, i_node = trie.psi_o_a(prefix, inclusive=True)
         d_a_i = self._value(i_node, "d_a")
         d_a_n = node_n.d_a
         d_o_p = self._value(p_node, "d_o")  # used at line 22 as d_O(P)
 
         trie.set_pi(node_n, None)  # pi(N) := nil (drops N from P's deaggregates)
         trie.set_ot(prefix, nexthop)  # OT becomes O'; reclaim consults d_O'
+        # set_pi may have pruned a brand-new n(N); from here on its OT
+        # label keeps it in the trie, so this node is n(N) to the end.
         node_n = trie.ensure(prefix)
 
         if d_a_n is None:
@@ -256,19 +258,17 @@ class SmaltaState:
                 trie.set_at_node(node_n, None)
             else:
                 trie.set_at_node(node_n, nexthop)
-            self._reclaim(trie.ensure(prefix), nexthop, x)
+            self._reclaim(node_n, nexthop, x)
         # else: n(N) is a pure aggregate in the AT; only its deaggregates
         # cover the space where N is the OT longest match (handled below).
 
-        # Lines 19-23: visit the deaggregates of P at or below n(N). A nil
-        # P stands for the unrouted context; its deaggregates are the
-        # explicit DROP entries, registered on the nil_node sentinel.
+        # Lines 19-23: visit the deaggregates of P at or below n(N), a
+        # range read of P's prefix-ordered index. A nil P stands for the
+        # unrouted context; its deaggregates are the explicit DROP
+        # entries, registered on the nil_node sentinel.
         deagg_source = p_node if p_node is not None else trie.nil_node
-        node_n = trie.ensure(prefix)
-        for deagg in trie.deaggregates_of(deagg_source):
+        for deagg in trie.deaggregates_of(deagg_source, within=prefix):
             deagg_prefix = deagg.prefix
-            if not prefix.contains(deagg_prefix):
-                continue
             self._assign_at(deagg_prefix, nexthop, boundary=node_n)
             node_e = trie.find(deagg_prefix)
             if node_e is None:
@@ -277,7 +277,6 @@ class SmaltaState:
                 trie.set_pi(node_e, node_n)
             self._reclaim(node_e, nexthop, d_o_p)
             trie.prune(node_e)
-        trie.prune(trie.ensure(prefix))
 
     @must_consume
     def delete(self, prefix: Prefix) -> list[FibDownload]:
@@ -297,8 +296,7 @@ class SmaltaState:
         deaggs_of_n = trie.deaggregates_of(node_n)
 
         trie.set_ot(prefix, None)  # OT becomes O'
-        p_node = trie.psi_o(prefix)  # P := Ψ_O'(N)
-        i_node = trie.psi_a(prefix)  # I := Ψ_A(N)
+        p_node, i_node = trie.psi_o_a(prefix)  # P := Ψ_O'(N); I := Ψ_A(N)
         d_a_i = self._value(i_node, "d_a")
         d_o_p = self._value(p_node, "d_o")  # d_O'(P)
 

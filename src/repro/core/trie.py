@@ -11,7 +11,10 @@ two independent labels:
 
 plus the SMALTA bookkeeping: ``pi``, a pointer from a deaggregate node to
 its preimage node in the OT, and the reverse index ``deaggs`` used by the
-"visit deaggregates of P" loops of Algorithms 1 and 2.
+"visit deaggregates of P" loops of Algorithms 1 and 2. The reverse index
+is a :class:`DeaggregateIndex`, kept in prefix order so that "the
+deaggregates of P at or below N" is one range read, not a scan of all
+of P's deaggregates.
 
 Nodes with no labels, no bookkeeping and no children are pruned eagerly so
 that the trie's size stays proportional to the live table sizes.
@@ -19,6 +22,7 @@ that the trie's size stays proportional to the live table sizes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator, Optional
 
 from repro.core.ortc import PlanStep, ortc_plan
@@ -42,7 +46,7 @@ class Node:
         #: whose address space this node covers a piece of.
         self.pi: Optional[Node] = None
         #: Reverse index of ``pi``: nodes whose preimage is this node.
-        self.deaggs: Optional[set[Node]] = None
+        self.deaggs: Optional[DeaggregateIndex] = None
 
     def child(self, bit: int) -> Optional["Node"]:
         return self.right if bit else self.left
@@ -67,6 +71,64 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.prefix}, d_o={self.d_o}, d_a={self.d_a})"
+
+
+#: Bits a prefix length takes in a :meth:`DeaggregateIndex.key`.
+_LENGTH_BITS = 8
+
+
+class DeaggregateIndex:
+    """One node's deaggregates, in prefix order.
+
+    ``keys[i]`` is :meth:`key` of ``nodes[i]``'s prefix, and the keys are
+    strictly increasing, which is the order ``Prefix`` sorts in. Because
+    prefixes are canonical (no bits set below the length), the prefixes
+    contained in N are exactly the keys from ``key(N)`` up to, not
+    including, the key of the first address past N's span at length 0:
+    a key with N's value but a shorter length sorts before the range,
+    and no prefix shorter than N can start strictly inside N's span.
+    """
+
+    __slots__ = ("keys", "nodes")
+
+    def __init__(self) -> None:
+        self.keys: list[int] = []
+        self.nodes: list[Node] = []
+
+    @staticmethod
+    def key(prefix: Prefix) -> int:
+        """``(value, length)`` as one int that sorts the same way.
+
+        Lengths fit in ``_LENGTH_BITS`` for widths up to 255 (IPv6 is
+        128). An int, unlike a tuple, is not a container the cyclic
+        garbage collector tracks, and compares in one step.
+        """
+        return prefix.value << _LENGTH_BITS | prefix.length
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.nodes)
+
+    def add(self, node: Node) -> None:
+        key = self.key(node.prefix)
+        at = bisect_left(self.keys, key)
+        self.keys.insert(at, key)
+        self.nodes.insert(at, node)
+
+    def discard(self, node: Node) -> None:
+        at = bisect_left(self.keys, self.key(node.prefix))
+        if at < len(self.nodes) and self.nodes[at] is node:
+            del self.keys[at]
+            del self.nodes[at]
+
+    def within(self, prefix: Prefix) -> list[Node]:
+        """The indexed nodes whose prefixes ``prefix`` contains, in order."""
+        keys = self.keys
+        low = bisect_left(keys, self.key(prefix))
+        end = prefix.value + (1 << (prefix.width - prefix.length))
+        return self.nodes[low : bisect_left(keys, end << _LENGTH_BITS, low)]
 
 
 class FibTrie:
@@ -208,34 +270,41 @@ class FibTrie:
         old = node.pi
         if old is preimage:
             return
-        if old is not None and old.deaggs:
-            old.deaggs.discard(node)
-            if not old.deaggs:
-                old.deaggs = None
-                self.prune(old)
+        if old is not None:
+            index = old.deaggs
+            if index is not None:
+                index.discard(node)
+                if not index.nodes:
+                    old.deaggs = None
+                    self.prune(old)
         node.pi = preimage
         if preimage is not None:
-            if preimage.deaggs is None:
-                preimage.deaggs = set()
-            preimage.deaggs.add(node)
+            index = preimage.deaggs
+            if index is None:
+                index = preimage.deaggs = DeaggregateIndex()
+            index.add(node)
         elif node.d_a is None:
             self.prune(node)
 
-    def deaggregates_of(self, node: Node) -> list[Node]:
-        """A snapshot list of nodes whose preimage pointer targets ``node``.
+    def deaggregates_of(
+        self, node: Node, within: Optional[Prefix] = None
+    ) -> list[Node]:
+        """A copy of the nodes whose preimage pointer targets ``node``.
 
-        Sorted by prefix: the reverse index is a set hashed on object
-        identity, so its raw iteration order varies with allocation order
-        — which differs between trie backends even when the node *graphs*
-        are identical. The update algorithms are order-insensitive, but a
-        deterministic order is what lets the differential suite demand
-        byte-identical download logs across backends.
+        The list is in prefix order, the order the reverse index keeps
+        (:class:`DeaggregateIndex`). The update algorithms are
+        order-insensitive, but a fixed order that does not depend on
+        allocation is what lets the differential suite demand
+        byte-identical download logs across backends. With ``within``
+        set, only the deaggregates that prefix contains are returned: a
+        range read of the index, whatever its size.
         """
-        if not node.deaggs:
+        index = node.deaggs
+        if index is None:
             return []
-        return sorted(
-            node.deaggs, key=lambda n: (n.prefix.value, n.prefix.length)
-        )
+        if within is None:
+            return index.nodes[:]
+        return index.within(within)
 
     # -- longest-prefix machinery ---------------------------------------
 
@@ -252,21 +321,34 @@ class FibTrie:
                 return
             yield node
 
-    def psi_o(self, prefix: Prefix) -> Optional[Node]:
-        """Ψ_O(p): the longest proper ancestor of p with a non-null OT label."""
-        best = None
-        for node in self._walk(prefix):
-            if node.prefix.length < prefix.length and node.d_o is not None:
-                best = node
-        return best
+    def psi_o_a(
+        self, prefix: Prefix, inclusive: bool = False
+    ) -> tuple[Optional[Node], Optional[Node]]:
+        """(Ψ_O(p), Ψ_A(p)) from one root-to-p walk.
 
-    def psi_eq_o(self, prefix: Prefix) -> Optional[Node]:
-        """Ψ=_O(p): the longest prefix ≤ p with a non-null OT label."""
-        best = None
-        for node in self._walk(prefix):
+        Ψ_O(p) and Ψ_A(p) are the longest proper ancestors of p with a
+        non-null OT and AT label. With ``inclusive`` the first is Ψ=_O(p)
+        instead: the longest prefix ≤ p with a non-null OT label, which
+        may be p's own node.
+        """
+        node = self.root
+        psi_o: Optional[Node] = None
+        psi_a: Optional[Node] = None
+        value = prefix.value
+        for shift in range(
+            self.width - 1 - self._skip, self.width - 1 - prefix.length, -1
+        ):
             if node.d_o is not None:
-                best = node
-        return best
+                psi_o = node
+            if node.d_a is not None:
+                psi_a = node
+            child = node.right if (value >> shift) & 1 else node.left
+            if child is None:
+                return psi_o, psi_a
+            node = child
+        if inclusive and node.d_o is not None:
+            psi_o = node
+        return psi_o, psi_a
 
     def psi_a(self, prefix: Prefix) -> Optional[Node]:
         """Ψ_A(p): the longest proper ancestor of p with a non-null AT label."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.core.equivalence import equivalence_counterexample
-from repro.core.trie import FibTrie, Node
+from repro.core.trie import DeaggregateIndex, FibTrie, Node
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
 
@@ -67,6 +67,10 @@ class InvariantCode(enum.Enum):
     REVERSE_INDEX_STALE = "reverse-index-stale"
     #: A ``pi`` pointer has no matching reverse-index entry.
     REVERSE_INDEX_MISSING = "reverse-index-missing"
+    #: A reverse index is out of strict prefix order, or its key list
+    #: does not spell its node list's prefixes (its range reads would
+    #: miss deaggregates).
+    REVERSE_INDEX_ORDER = "reverse-index-order"
     #: Paper Invariant 2 (operational form): an OT entry with no AT
     #: label is neither served by AT propagation nor fully re-covered
     #: by deaggregates.
@@ -261,15 +265,19 @@ def _check_preimages(trie: FibTrie, out: list[Violation]) -> None:
 
 
 def _check_reverse_index(trie: FibTrie, out: list[Violation]) -> None:
-    """``deaggs`` must be the exact inverse of the ``pi`` map."""
+    """``deaggs`` must be the exact inverse of the ``pi`` map, and each
+    index a strictly prefix-ordered key list matching its node list."""
     live = {id(node) for node in trie.iter_nodes()}
     for holder in _iter_with_nil(trie):
-        if not holder.deaggs:
+        index = holder.deaggs
+        if not index:
             continue
-        holder_name = (
-            "nil" if holder is trie.nil_node else str(holder.prefix)
+        is_nil = holder is trie.nil_node
+        holder_name = "nil" if is_nil else str(holder.prefix)
+        _check_index_order(
+            index, None if is_nil else holder.prefix, holder_name, out
         )
-        for member in holder.deaggs:
+        for member in index:
             if member.pi is not holder:
                 out.append(
                     Violation(
@@ -287,11 +295,17 @@ def _check_reverse_index(trie: FibTrie, out: list[Violation]) -> None:
                         f"deaggregate of {holder_name} is no longer in the trie",
                     )
                 )
+    members: dict[int, set[int]] = {}
     for node in trie.iter_nodes():
         preimage = node.pi
         if preimage is None:
             continue
-        if preimage.deaggs is None or node not in preimage.deaggs:
+        listed = members.get(id(preimage))
+        if listed is None:
+            listed = members[id(preimage)] = {
+                id(member) for member in preimage.deaggs or ()
+            }
+        if id(node) not in listed:
             out.append(
                 Violation(
                     InvariantCode.REVERSE_INDEX_MISSING,
@@ -301,6 +315,36 @@ def _check_reverse_index(trie: FibTrie, out: list[Violation]) -> None:
                     f"but the reverse index does not list this node",
                 )
             )
+
+
+def _check_index_order(
+    index: DeaggregateIndex,
+    where: Optional[Prefix],
+    holder_name: str,
+    out: list[Violation],
+) -> None:
+    keys = index.keys
+    if len(keys) != len(index.nodes) or any(
+        key != index.key(member.prefix)
+        for key, member in zip(keys, index.nodes)
+    ):
+        out.append(
+            Violation(
+                InvariantCode.REVERSE_INDEX_ORDER,
+                where,
+                f"deaggregate index of {holder_name}: keys do not match "
+                f"the indexed prefixes",
+            )
+        )
+    elif any(key >= after for key, after in zip(keys, keys[1:])):
+        out.append(
+            Violation(
+                InvariantCode.REVERSE_INDEX_ORDER,
+                where,
+                f"deaggregate index of {holder_name} is not in strict "
+                f"prefix order",
+            )
+        )
 
 
 def _fully_covered_below(node: Node) -> bool:

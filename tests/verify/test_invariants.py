@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.smalta import SmaltaState
-from repro.core.trie import Node
+from repro.core.trie import DeaggregateIndex, Node
 from repro.net.nexthop import DROP
 from repro.net.prefix import Prefix
 from repro.verify import InvariantCode, audit_state, audit_trie
@@ -84,8 +84,42 @@ def test_stale_reverse_index_detected():
     trie = state.trie
     holder = next(n for n in trie.iter_nodes() if n.d_o is not None)
     member = next(n for n in trie.iter_nodes() if n is not holder)
-    holder.deaggs = {member}  # member.pi does not point back
+    index = DeaggregateIndex()
+    index.add(member)
+    holder.deaggs = index  # member.pi does not point back
     assert InvariantCode.REVERSE_INDEX_STALE in codes_of(audit_trie(trie))
+
+
+def holey_state() -> SmaltaState:
+    """A default route with two holes: the nil sentinel indexes two
+    explicit null routes after the snapshot."""
+    state = SmaltaState(WIDTH)
+    for bits in ("000", "001", "011", "100", "110", "111"):
+        state.load(p(bits), A)
+    state.snapshot()
+    assert [node.prefix for node in state.trie.nil_node.deaggs] == [
+        p("010"),
+        p("101"),
+    ]
+    return state
+
+
+def test_reverse_index_out_of_order_detected():
+    state = holey_state()
+    index = state.trie.nil_node.deaggs
+    index.keys.reverse()
+    index.nodes.reverse()  # keys still spell the nodes, order broken
+    violations = audit_trie(state.trie)
+    assert InvariantCode.REVERSE_INDEX_ORDER in codes_of(violations)
+    assert InvariantCode.REVERSE_INDEX_MISSING not in codes_of(violations)
+
+
+def test_reverse_index_key_mismatch_detected():
+    state = holey_state()
+    index = state.trie.nil_node.deaggs
+    index.keys[1] = index.key(p("11"))  # sorted, but not node 1's prefix
+    violations = audit_trie(state.trie)
+    assert InvariantCode.REVERSE_INDEX_ORDER in codes_of(violations)
 
 
 def test_missing_reverse_index_detected():
